@@ -15,6 +15,8 @@ import (
 
 	"barterdist"
 	"barterdist/internal/analysis"
+	"barterdist/internal/arrival"
+	"barterdist/internal/asim"
 	"barterdist/internal/experiment"
 	"barterdist/internal/fault"
 	"barterdist/internal/lint"
@@ -304,6 +306,40 @@ func BenchmarkAuditReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := mechanism.VerifyCreditLimitedLog(res.Sim.Trace, false, 1, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAsimOpen is one open-system run of the event engine: a
+// Poisson stream (λ = 0.8) of n−1 peers into the complete overlay,
+// k = 16, rarest-first, one download port, trace recorded and replayed
+// through asim.RunAudit. Occupancy stays near 15 peers whatever n is,
+// so with the present-peer index (DESIGN.md §15.6) the cost of an
+// event tracks occupancy and ns/op grows linearly in the (n−1)·16
+// transfers: ns per transfer should stay flat from n2000 to n20000.
+func BenchmarkAsimOpen(b *testing.B) {
+	for _, n := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				plan, err := arrival.NewPlan(arrival.Options{Seed: 8000, Rate: 0.8})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := asim.Config{Nodes: n, Blocks: 16, DownloadPorts: 1,
+					RecordTrace: true, Arrivals: plan}
+				res, err := asim.Run(cfg, asim.NewAsyncRandomized(nil, true, 1, 8001))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Open.Verdict != arrival.VerdictDrained || res.Transfers != (n-1)*16 {
+					b.Fatalf("verdict %v, %d transfers: want drained with %d", res.Open.Verdict, res.Transfers, (n-1)*16)
+				}
+				cfg.Arrivals = nil
+				if err := asim.RunAudit(cfg, res); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"barterdist/internal/adversary"
@@ -78,14 +79,6 @@ type Config struct {
 	// DownloadPorts bounds concurrent receives per node (Unlimited = no
 	// bound; each concurrent receive still shares DownloadRate).
 	DownloadPorts int
-	// ShardWorkers is accepted for configuration symmetry with the
-	// synchronous engine (core.Config.ShardWorkers) and validated, but
-	// does not affect the asynchronous engine: its event loop is
-	// inherently sequential — one upload decision per event — so there
-	// is no intra-run phase to parallelize. Protocols still draw from
-	// per-shard streams (see AsyncRandomized), keeping the RNG
-	// derivation identical across both engines.
-	ShardWorkers int
 	// AuditWorkers is the worker pool width RunAudit replays the
 	// recorded trace at. 0 and 1 both mean inline sequential replay; the
 	// audit verdict and error text are byte-identical for every value.
@@ -153,9 +146,6 @@ func (c *Config) Validate() error {
 	if c.DownloadPorts < 0 {
 		return fmt.Errorf("asim: DownloadPorts = %d, need >= 0", c.DownloadPorts)
 	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("asim: ShardWorkers = %d, need >= 0", c.ShardWorkers)
-	}
 	if c.AuditWorkers < 0 {
 		return fmt.Errorf("asim: AuditWorkers = %d, need >= 0", c.AuditWorkers)
 	}
@@ -202,6 +192,12 @@ type State struct {
 	complete int
 	now      float64
 
+	// present lists the alive node ids in ascending order — a pure
+	// function of the alive mask (0..n-1 without a fault or arrival
+	// plan), kept in step by setAlive so complete-overlay target picks
+	// and wake-ups cost O(peers present), not O(n).
+	present []int32
+
 	// Fault-layer view; nil/zero without a fault plan.
 	alive         []bool
 	aliveClients  int
@@ -242,6 +238,34 @@ func (s *State) InFlightCount(v int) int { return len(s.inFlight[v]) }
 // Alive reports whether node v is currently up. Without a fault plan
 // every node is always alive.
 func (s *State) Alive(v int) bool { return s.alive == nil || s.alive[v] }
+
+// Present returns the ids of the nodes currently up, ascending. The
+// slice is owned by the engine: read it, never modify or retain it.
+func (s *State) Present() []int32 { return s.present }
+
+// setAlive flips node v's liveness and keeps the present index in
+// step (a binary search plus an O(|present|) shift).
+func (s *State) setAlive(v int, up bool) {
+	s.alive[v] = up
+	i, found := slices.BinarySearch(s.present, int32(v))
+	switch {
+	case up && !found:
+		s.present = slices.Insert(s.present, i, int32(v))
+	case !up && found:
+		s.present = slices.Delete(s.present, i, i+1)
+	}
+}
+
+// rebuildPresent recomputes the present index from the alive mask, as
+// a restored snapshot requires (the index is derived, never encoded).
+func (s *State) rebuildPresent() {
+	s.present = s.present[:0]
+	for v := 0; v < s.n; v++ {
+		if s.Alive(v) {
+			s.present = append(s.present, int32(v))
+		}
+	}
+}
 
 // AliveClients returns the number of clients currently up (n-1 without
 // a fault plan).
@@ -473,9 +497,9 @@ func Run(cfg Config, p Protocol) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Kick every node once; most will park immediately.
-	for v := 0; v < c.Nodes; v++ {
-		if err := eng.tryStartUpload(v); err != nil {
+	// Kick every present node once; most will park immediately.
+	for _, v := range eng.st.present {
+		if err := eng.tryStartUpload(int(v)); err != nil {
 			return nil, err
 		}
 	}
@@ -539,6 +563,9 @@ func newEngine(c Config, p Protocol) (*engine, error) {
 		st.alive = make([]bool, c.Nodes)
 		st.alive[0] = true
 	}
+	// Index capacity n, so joins never reallocate it mid-run.
+	st.present = make([]int32, 0, c.Nodes)
+	st.rebuildPresent()
 	if c.Adversary != nil {
 		if c.Adversary.N() != c.Nodes {
 			return nil, fmt.Errorf("asim: adversary plan built for %d nodes, config has %d", c.Adversary.N(), c.Nodes)
@@ -629,10 +656,10 @@ func (e *engine) loop() (*Result, error) {
 		case evTimer:
 			p.OnTimer(ev.timer, st)
 			// A choke rotation can create work anywhere: wake everyone
-			// parked. Timers are sparse, so this stays cheap.
-			for v := 0; v < c.Nodes; v++ {
+			// parked (parked nodes are alive, so present covers them).
+			for _, v := range st.present {
 				if eng.parked[v] {
-					if err := eng.tryStartUpload(v); err != nil {
+					if err := eng.tryStartUpload(int(v)); err != nil {
 						return nil, err
 					}
 				}
@@ -834,7 +861,7 @@ func (e *engine) applyCrash() error {
 // bookkeeping is consistent.
 func (e *engine) teardown(v int) (wakeSenders []int, freedReceiver int) {
 	st := e.st
-	st.alive[v] = false
+	st.setAlive(v, false)
 	st.aliveClients--
 	if st.have[v].Full() {
 		st.complete--
@@ -875,7 +902,7 @@ func (e *engine) teardown(v int) (wakeSenders []int, freedReceiver int) {
 // cache, and re-wakes it plus the peers that may now serve it.
 func (e *engine) applyRejoin(v int) error {
 	st := e.st
-	st.alive[v] = true
+	st.setAlive(v, true)
 	st.aliveClients++
 	st.pendingRejoin--
 	if st.honest != nil && st.honest[v] {
@@ -907,7 +934,8 @@ func (e *engine) applyRejoin(v int) error {
 }
 
 // wakeInNeighbors re-polls the parked in-edge peers of v (or every
-// parked node on complete overlays).
+// parked node on complete overlays, in ascending id order: parked nodes
+// are alive, so walking the present index visits exactly them).
 func (e *engine) wakeInNeighbors(v int) error {
 	if nbrs := e.proto.Neighbors(v); nbrs != nil {
 		for _, u := range nbrs {
@@ -919,9 +947,9 @@ func (e *engine) wakeInNeighbors(v int) error {
 		}
 		return nil
 	}
-	for u := 0; u < e.st.n; u++ {
+	for _, u := range e.st.present {
 		if e.parked[u] {
-			if err := e.tryStartUpload(u); err != nil {
+			if err := e.tryStartUpload(int(u)); err != nil {
 				return err
 			}
 		}

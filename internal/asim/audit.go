@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"barterdist/internal/adversary"
@@ -248,24 +249,12 @@ type aInterval struct {
 // before receivers and nodes ascend within a stage, matching the
 // sequential auditor's check order exactly.
 func auditPorts(c Config, res *Result, adversarial bool, honest []bool, lane int) *aPoint {
-	bySender := make(map[int][]aInterval)
-	byRecv := make(map[int][]aInterval)
-	for _, tr := range res.Trace {
-		if recordSkip(c, tr, adversarial, honest) {
-			continue
-		}
-		from, to := int(tr.From), int(tr.To)
-		if from%aRecTasks == lane {
-			bySender[from] = append(bySender[from], aInterval{tr.Start, tr.End, tr.Block})
-		}
-		if to%aRecTasks == lane {
-			byRecv[to] = append(byRecv[to], aInterval{tr.Start, tr.End, tr.Block})
-		}
-	}
+	bySender, sendEnd := laneBuckets(c, res, adversarial, honest, lane, true)
+	byRecv, recvEnd := laneBuckets(c, res, adversarial, honest, lane, false)
 	// Serial upload port: each sender's transfers must not overlap.
-	for u := lane; u < c.Nodes; u += aRecTasks {
-		ivs := bySender[u]
-		sort.Slice(ivs, func(a, b int) bool { return ivs[a].start < ivs[b].start })
+	for slot, u := 0, lane; u < c.Nodes; slot, u = slot+1, u+aRecTasks {
+		ivs := bucket(bySender, sendEnd, slot)
+		sortByStart(ivs)
 		for i := 1; i < len(ivs); i++ {
 			if ivs[i].start < ivs[i-1].end {
 				return &aPoint{phase: 2, pos: u, err: auditErr("node %d uploads concurrently at t=%v (serial upload port)", u, ivs[i].start)}
@@ -274,10 +263,11 @@ func auditPorts(c Config, res *Result, adversarial bool, honest []bool, lane int
 	}
 	// Download ports: bounded concurrency, and a block at most once in
 	// flight to the same receiver at a time.
-	for v := lane; v < c.Nodes; v += aRecTasks {
-		ivs := byRecv[v]
-		sort.Slice(ivs, func(a, b int) bool { return ivs[a].start < ivs[b].start })
-		var active []aInterval
+	var active []aInterval
+	for slot, v := 0, lane; v < c.Nodes; slot, v = slot+1, v+aRecTasks {
+		ivs := bucket(byRecv, recvEnd, slot)
+		sortByStart(ivs)
+		active = active[:0]
 		for _, iv := range ivs {
 			keep := active[:0]
 			for _, a := range active {
@@ -298,6 +288,69 @@ func auditPorts(c Config, res *Result, adversarial bool, honest []bool, lane int
 		}
 	}
 	return nil
+}
+
+// laneBuckets groups the lane's flights by sender (bySender) or by
+// receiver in one flat array: a counting sort on the node's lane slot
+// (node / aRecTasks) that keeps trace order within each node. end[s] is
+// the exclusive end of slot s's bucket; see bucket.
+func laneBuckets(c Config, res *Result, adversarial bool, honest []bool, lane int, bySender bool) (ivs []aInterval, end []int32) {
+	node := func(tr *TransferRecord) int {
+		if bySender {
+			return int(tr.From)
+		}
+		return int(tr.To)
+	}
+	end = make([]int32, (c.Nodes-lane+aRecTasks-1)/aRecTasks)
+	for i := range res.Trace {
+		tr := &res.Trace[i]
+		if v := node(tr); v%aRecTasks == lane && !recordSkip(c, *tr, adversarial, honest) {
+			end[v/aRecTasks]++
+		}
+	}
+	// Exclusive prefix sums: end[s] becomes slot s's start, and the
+	// fill below advances it to the slot's end.
+	total := int32(0)
+	for s, n := range end {
+		end[s] = total
+		total += n
+	}
+	ivs = make([]aInterval, total)
+	for i := range res.Trace {
+		tr := &res.Trace[i]
+		if v := node(tr); v%aRecTasks == lane && !recordSkip(c, *tr, adversarial, honest) {
+			s := v / aRecTasks
+			ivs[end[s]] = aInterval{tr.Start, tr.End, tr.Block}
+			end[s]++
+		}
+	}
+	return ivs, end
+}
+
+// bucket returns slot s's flights from laneBuckets' flat array.
+func bucket(ivs []aInterval, end []int32, s int) []aInterval {
+	start := int32(0)
+	if s > 0 {
+		start = end[s-1]
+	}
+	return ivs[start:end[s]]
+}
+
+// sortByStart orders flights by start time. slices.SortFunc runs the
+// same pattern-defeating quicksort as sort.Slice with a `<` less,
+// comparison for comparison, so equal starts (and NaN starts in a
+// doctored trace) land in the order sort.Slice gives them, and the
+// flight a port error names does not depend on which of the two runs.
+func sortByStart(ivs []aInterval) {
+	slices.SortFunc(ivs, func(a, b aInterval) int {
+		switch {
+		case a.start < b.start:
+			return -1
+		case b.start < a.start:
+			return 1
+		}
+		return 0
+	})
 }
 
 // auditReplay is the audit's one stateful task: fault-log sanity

@@ -261,6 +261,7 @@ func (e *engine) restore(snap *checkpoint.Snapshot) error {
 			return checkpoint.Corruptf("asim: alive/rejoin counters inconsistent with mask")
 		}
 		copy(st.alive, alive)
+		st.rebuildPresent()
 		st.aliveClients = aliveClients
 		st.pendingRejoin = pendingRejoin
 	}

@@ -77,7 +77,7 @@ func (e *engine) applyArrive() error {
 	st, oa := e.st, e.oa
 	v := int(oa.nextID)
 	oa.nextID++
-	st.alive[v] = true
+	st.setAlive(v, true)
 	st.aliveClients++
 	oa.arrivedAt[v] = st.now
 	oa.exitAfter[v] = int32(oa.plan.ExitThreshold(st.k))

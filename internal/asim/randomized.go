@@ -93,19 +93,15 @@ func (a *AsyncRandomized) ensure(s *State) {
 	}
 }
 
-// recomputeFreq rebuilds the replication counts from the alive nodes'
-// holdings; crashes, wiped rejoins, and losses all invalidate the
-// incremental statistics at once, and the rebuild is cheap relative to
-// how rarely faults fire.
+// recomputeFreq rebuilds the replication counts from the present
+// nodes' holdings; crashes, wiped rejoins, arrivals and departures all
+// invalidate the incremental statistics at once, and the rebuild costs
+// O(peers present · k/64).
 func (a *AsyncRandomized) recomputeFreq(s *State) {
 	a.ensure(s)
-	for b := range a.freq {
-		a.freq[b] = 0
-	}
-	for v := 0; v < s.N(); v++ {
-		if s.Alive(v) {
-			s.Blocks(v).AccumulateCounts(a.freq, 1)
-		}
+	clear(a.freq)
+	for _, v := range s.Present() {
+		s.Blocks(int(v)).AccumulateCounts(a.freq, 1)
 	}
 }
 
@@ -155,14 +151,20 @@ func (a *AsyncRandomized) NextUpload(u int, s *State) (Upload, bool) {
 	return Upload{To: v, Block: b}, true
 }
 
+// pickTarget draws u's target by a lazy Fisher–Yates shuffle over the
+// candidate ids — u's overlay neighbors, or on the complete overlay
+// every present node but u — and returns the first that qualifies, so
+// the target is uniform over the qualifying candidates. Dead ids never
+// qualify; leaving them out of the complete overlay's candidates keeps
+// the law and makes a pick O(peers present) instead of O(n).
 func (a *AsyncRandomized) pickTarget(rng *xrand.Rand, u int, s *State) int {
 	if a.Graph != nil {
 		a.scratch = append(a.scratch[:0], a.Graph.Neighbors(u)...)
 	} else {
 		a.scratch = a.scratch[:0]
-		for v := 0; v < s.N(); v++ {
-			if v != u {
-				a.scratch = append(a.scratch, int32(v))
+		for _, v := range s.Present() {
+			if int(v) != u {
+				a.scratch = append(a.scratch, v)
 			}
 		}
 	}
